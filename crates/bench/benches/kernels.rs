@@ -1,6 +1,7 @@
 //! Kernel-level benchmarks of the autodiff substrate: the dense products,
 //! gather/scatter, and MLP passes that dominate the compute term of the
-//! weak-scaling model (calibration inputs for Fig. 7).
+//! weak-scaling model (calibration inputs for Fig. 7), plus the kernel
+//! pool's fixed cost per parallel call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -113,11 +114,33 @@ fn bench_layernorm_elu(c: &mut Criterion) {
     group.finish();
 }
 
+/// Fixed cost of one parallel kernel call: two near-empty chunks, so the
+/// time is the pool's dispatch (1 worker: inline; 2 workers: wake a parked
+/// helper, split the chunks, wait for it to leave).
+fn bench_par_dispatch(c: &mut Criterion) {
+    use rayon::ParallelSliceMut;
+    let mut group = c.benchmark_group("par_dispatch");
+    let mut data = [0u64; 2];
+    for workers in [1usize, 2] {
+        group.bench_function(format!("two_chunks_{workers}_workers"), |b| {
+            rayon::with_num_threads(workers, || {
+                b.iter(|| {
+                    data.par_chunks_mut(1).enumerate().for_each(|(i, chunk)| {
+                        chunk[0] = chunk[0].wrapping_add(i as u64);
+                    })
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_gather_scatter,
     bench_mlp_forward_backward,
-    bench_layernorm_elu
+    bench_layernorm_elu,
+    bench_par_dispatch
 );
 criterion_main!(benches);

@@ -16,8 +16,10 @@
 //!
 //! Results are written to `BENCH_hotpath.json` at the repo root so the
 //! perf trajectory is tracked in-tree. The committed file also records the
-//! pre-PR baseline throughput measured at the default bench size on the
-//! same machine, making the speedup auditable. Regenerate with:
+//! pre-PR baseline throughput measured at the default bench size, and the
+//! host (core count, CPU model) every run was measured on; the speedup is
+//! only reported when the run's core count matches the baseline host's.
+//! Regenerate with:
 //!
 //! ```sh
 //! cargo run --release -p cgnn-bench --bin hotpath
@@ -40,7 +42,7 @@
 
 use std::time::Instant;
 
-use cgnn_bench::{env_usize, serde_json, BASELINE_STEPS_PER_SEC};
+use cgnn_bench::{env_usize, serde_json, BASELINE_CORES, BASELINE_STEPS_PER_SEC};
 use cgnn_comm::{reexec_scope, Backend};
 use cgnn_core::config;
 use cgnn_core::mp_layer::overlap_stats;
@@ -48,6 +50,19 @@ use cgnn_core::{GnnConfig, HaloExchangeMode};
 use cgnn_mesh::{BoxMesh, TaylorGreen};
 use cgnn_session::Session;
 use serde_json::json;
+
+/// The host CPU's model name from `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, name)| name.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 /// One measured `R x mode` cell.
 struct Cell {
@@ -389,12 +404,13 @@ fn main() {
     }
 
     // The committed baseline is an R=1 measurement at the default bench
-    // size: a run only yields a comparable speedup when it uses that size
-    // AND actually swept R=1. Without the rank check, a
+    // size on a `BASELINE_CORES`-core host: a run only yields a comparable
+    // speedup when it uses that size, actually swept R=1, and ran on a host
+    // with as many cores. Without the rank check, a
     // `CGNN_BENCH_RANKS=2,4` run at default size would fold `r1` over an
     // empty set (0.0) and silently publish a 0x "speedup" as comparable.
     let default_size = elems == 6 && poly == 2 && model == "small" && steps == 10;
-    let baseline_comparable = default_size && ranks.contains(&1);
+    let baseline_comparable = default_size && ranks.contains(&1) && cores == BASELINE_CORES;
     let r1 = cells
         .iter()
         .filter(|c| c.ranks == 1)
@@ -408,6 +424,7 @@ fn main() {
         "bench": "hotpath",
         "mesh": {"elems": elems, "poly": poly, "nodes": nodes, "edges": edges},
         "model": model,
+        "host": {"cores": cores, "cpu_model": cpu_model()},
         "protocol": {
             "steps": steps,
             "warmup": warmup,
@@ -416,7 +433,8 @@ fn main() {
         },
         "baseline": {
             "steps_per_sec": BASELINE_STEPS_PER_SEC,
-            "note": "pre-PR commit 2c6dbcf, R=1, default bench size, same machine/methodology",
+            "cores": BASELINE_CORES,
+            "note": "pre-PR commit 2c6dbcf, R=1, default bench size, same methodology",
             "applies_to_this_run": baseline_comparable,
         },
         "speedup_vs_baseline": if baseline_comparable { Some(r1 / BASELINE_STEPS_PER_SEC) } else { None },

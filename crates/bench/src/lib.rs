@@ -59,3 +59,8 @@ pub use serde_json;
 /// into `BENCH_hotpath.json` so the speedup the hot-path overhaul claims
 /// stays auditable against a fixed reference.
 pub const BASELINE_STEPS_PER_SEC: f64 = 9.56;
+
+/// Core count of the host [`BASELINE_STEPS_PER_SEC`] was measured on. A
+/// run on a host with a different core count has different kernel
+/// parallelism, so its speedup against that baseline means nothing.
+pub const BASELINE_CORES: usize = 1;

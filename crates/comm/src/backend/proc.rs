@@ -83,6 +83,11 @@ thread_local! {
 /// Launch counter for cross-process launches outside any scope.
 static GLOBAL_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Process-wide spawn counter naming each launch's rendezvous directory.
+/// Sequence numbers restart in every [`reexec_scope`], so two scopes on
+/// concurrent threads (parallel tests) share them; the directory must not.
+static SPAWN_ID: AtomicU64 = AtomicU64::new(0);
+
 /// RAII argv scope for cross-process launches; see [`reexec_scope`].
 pub struct ReexecScope {
     _not_send: std::marker::PhantomData<*const ()>,
@@ -470,9 +475,10 @@ where
         .map(PathBuf::from)
         .unwrap_or_else(std::env::temp_dir);
     let dir = base.join(format!(
-        "cgnn-{}-{}-{seq}",
+        "cgnn-{}-{}-{seq}-{}",
         transport.label(),
-        std::process::id()
+        std::process::id(),
+        SPAWN_ID.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).expect("create the cross-process rendezvous directory");
     let extra_env = transport

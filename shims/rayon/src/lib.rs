@@ -1,17 +1,28 @@
 //! Offline stand-in for `rayon`: the small adaptor surface this workspace
-//! uses, executed with real data parallelism on `std::thread::scope`.
+//! uses, executed with real data parallelism on one persistent, parked
+//! worker pool (std only).
 //!
 //! Two families are implemented:
 //!
 //! * `into_par_iter().map(f).collect()` — items are split into contiguous
-//!   chunks, one per worker, and results are reassembled in order, so
+//!   runs, one per worker, and results are reassembled in order, so
 //!   output ordering matches rayon's.
 //! * `par_chunks_mut(n)` / `.enumerate().for_each(f)` — the chunked +
 //!   indexed slice adaptors the deterministic tensor kernels are built on:
 //!   disjoint `&mut` chunks of one slice are processed concurrently, and
 //!   the chunk *boundaries* are chosen by the caller (never by the worker
 //!   count), which is what keeps chunk-local arithmetic bit-identical at
-//!   every thread count.
+//!   every thread count. Chunk `i` is computed from its index, so a call
+//!   allocates nothing.
+//!
+//! Both run on the pool in `pool.rs`: the calling thread and up to
+//! `workers - 1` long-lived helper threads claim chunk indices from one
+//! atomic counter. Helpers are spawned lazily, up to the largest worker
+//! count ever requested minus one, and park on a condition variable when
+//! idle. A call made while the pool is busy (nested inside a chunk, or
+//! from another thread) runs its chunks inline, in order; a one-worker
+//! call always does. A panicking chunk is re-raised on the caller once
+//! every helper has left the call.
 //!
 //! Worker count resolution (cached): `CGNN_NUM_THREADS`, then
 //! `RAYON_NUM_THREADS`, then `std::thread::available_parallelism()` capped
@@ -30,6 +41,8 @@
 
 use std::cell::Cell;
 use std::sync::OnceLock;
+
+mod pool;
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelSliceMut};
@@ -164,7 +177,9 @@ where
     }
 }
 
-/// Chunked fork-join map preserving input order.
+/// Chunked map preserving input order: the items are split into one
+/// contiguous run per worker, each run is mapped by one pool task, and the
+/// outputs are concatenated in run order.
 fn par_map_vec<T, U, F>(items: Vec<T>, f: &F) -> Vec<U>
 where
     T: Send,
@@ -172,27 +187,25 @@ where
     F: Fn(T) -> U + Sync,
 {
     let n = items.len();
-    let threads = current_num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
+    let workers = current_num_threads().min(n.max(1));
+    if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
+    let run = n.div_ceil(workers);
     let mut source = items;
-    let mut chunks: Vec<Vec<T>> = Vec::new();
+    let mut runs: Vec<(Vec<T>, Vec<U>)> = Vec::with_capacity(workers);
     while !source.is_empty() {
-        let rest = source.split_off(chunk.min(source.len()));
-        chunks.push(std::mem::replace(&mut source, rest));
+        let rest = source.split_off(run.min(source.len()));
+        runs.push((std::mem::replace(&mut source, rest), Vec::new()));
     }
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("rayon-shim worker panicked"));
-        }
+    runs.par_chunks_mut(1).for_each(|slot| {
+        let (input, output) = &mut slot[0];
+        *output = std::mem::take(input).into_iter().map(f).collect();
     });
+    let mut out = Vec::with_capacity(n);
+    for (_, output) in runs {
+        out.extend(output);
+    }
     out
 }
 
@@ -208,23 +221,23 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
         assert!(chunk_size > 0, "chunk size must be positive");
         ParChunksMut {
-            chunks: self.chunks_mut(chunk_size).collect(),
+            slice: self,
+            chunk_size,
         }
     }
 }
 
 /// Parallel iterator over disjoint mutable chunks of one slice.
 pub struct ParChunksMut<'a, T: Send> {
-    chunks: Vec<&'a mut [T]>,
+    slice: &'a mut [T],
+    chunk_size: usize,
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
     /// Pair every chunk with its index (chunk `i` starts at element
     /// `i * chunk_size` of the original slice).
     pub fn enumerate(self) -> ParEnumerateChunksMut<'a, T> {
-        ParEnumerateChunksMut {
-            chunks: self.chunks,
-        }
+        ParEnumerateChunksMut { chunks: self }
     }
 
     /// Run `f` on every chunk, concurrently.
@@ -235,49 +248,41 @@ impl<'a, T: Send> ParChunksMut<'a, T> {
 
 /// Indexed variant of [`ParChunksMut`].
 pub struct ParEnumerateChunksMut<'a, T: Send> {
-    chunks: Vec<&'a mut [T]>,
+    chunks: ParChunksMut<'a, T>,
+}
+
+/// A slice's base pointer, shareable across the pool's threads.
+struct SlicePtr<T>(*mut T);
+
+// SAFETY: only used to hand out disjoint `&mut [T]` chunks of one slice,
+// each to exactly one thread, which is sound whenever `T: Send`.
+unsafe impl<T: Send> Sync for SlicePtr<T> {}
+
+impl<T> SlicePtr<T> {
+    // A method (not field access) so closures capture the `Sync` wrapper.
+    fn get(&self) -> *mut T {
+        self.0
+    }
 }
 
 impl<T: Send> ParEnumerateChunksMut<'_, T> {
-    /// Run `f` on every `(chunk_index, chunk)`, concurrently. Workers take
-    /// contiguous runs of chunks; because the chunks are disjoint writes,
-    /// scheduling cannot influence the result.
+    /// Run `f` on every `(chunk_index, chunk)`, concurrently. Chunk `i` is
+    /// computed from its index alone, and each index is claimed by exactly
+    /// one thread; because the chunks are disjoint writes, scheduling
+    /// cannot influence the result.
     pub fn for_each(self, f: impl Fn((usize, &mut [T])) + Sync) {
-        let n = self.chunks.len();
-        let threads = current_num_threads().min(n.max(1));
-        if threads <= 1 || n <= 1 {
-            for (i, chunk) in self.chunks.into_iter().enumerate() {
-                f((i, chunk));
-            }
-            return;
-        }
-        let per_worker = n.div_ceil(threads);
-        let mut work: Vec<Vec<(usize, &mut [T])>> = Vec::new();
-        let mut current = Vec::with_capacity(per_worker);
-        for (i, chunk) in self.chunks.into_iter().enumerate() {
-            current.push((i, chunk));
-            if current.len() == per_worker {
-                work.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            work.push(current);
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .into_iter()
-                .map(|batch| {
-                    scope.spawn(move || {
-                        for item in batch {
-                            f(item);
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("rayon-shim worker panicked");
-            }
+        let ParChunksMut { slice, chunk_size } = self.chunks;
+        let len = slice.len();
+        let base = SlicePtr(slice.as_mut_ptr());
+        pool::run(len.div_ceil(chunk_size), current_num_threads(), &|i| {
+            let start = i * chunk_size;
+            let end = len.min(start + chunk_size);
+            // SAFETY: `[start, end)` lies inside the exclusively borrowed
+            // slice, ranges of distinct indices are disjoint, and the pool
+            // runs each index once and returns only after all have finished.
+            let chunk =
+                unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
+            f((i, chunk));
         });
     }
 }
